@@ -4,8 +4,8 @@
 //!    DVCM lineage's co-processors and hosts.
 //! 2. Scheduler/producer NI split for a 6-slot node (§6's "careful
 //!    balance").
-//! 3. Shared-PCI-bus contention sweep (producer NIs vs delivered
-//!    throughput, bus utilization, DMA wait).
+//! 3. Shared-PCI-bus contention sweep on a one-card Path-B chassis
+//!    (producer NIs vs delivered frames, bus utilization, DMA wait).
 //!
 //! The three sections are independent: each renders to a string in its own
 //! sweep cell and the strings print in section order.
@@ -15,8 +15,9 @@
 use fixedpt::ops::MathMode;
 use hwsim::profiles::{decision_us, ALL};
 use nistream_bench::{format_table, par_sweep, trace_path, write_trace, Cell, TraceCapture};
+use serversim::chassis;
 use serversim::cluster::{node_capacity, sweep_ni_split, NodeConfig};
-use serversim::pcibus_sim;
+use simkit::SimDuration;
 use std::fmt::Write as _;
 
 /// Ablation 1: offload targets.
@@ -73,41 +74,46 @@ fn ni_split() -> String {
     out
 }
 
-/// Ablation 3: shared-PCI-bus contention.
+/// Ablation 3: shared-PCI-bus contention — one scheduler card fed over
+/// the shared bus by Path-B producers sourcing 8 streams each.
 fn bus_contention() -> String {
-    let rows: Vec<Vec<String>> = pcibus_sim::sweep(&[1, 2, 4, 8, 16])
+    let rows: Vec<Vec<String>> = [1, 2, 4, 8, 16]
         .into_iter()
-        .map(|(p, r)| {
+        .map(|p| {
+            let r = chassis::sweep_cards(&[1], 8 * p, SimDuration::from_secs(5))[0];
             vec![
                 p.to_string(),
-                format!("{}", r.delivered),
-                format!("{:.2}", r.throughput_bps / 1e6),
+                r.offered_streams.to_string(),
+                r.admitted_streams.to_string(),
+                r.delivered_frames.to_string(),
+                format!("{:.1}", r.sustained_streams),
                 format!("{:.1}", r.bus_utilization * 100.0),
                 format!("{:.3}", r.mean_dma_wait_ms),
-                format!("{:.1}", r.sched_ni_utilization * 100.0),
             ]
         })
         .collect();
     let mut out = format_table(
-        "Ablation 3: shared-PCI contention, 5 s runs (8 x 30fps streams per producer NI)",
+        "Ablation 3: shared-PCI contention, one scheduler card, 5 s runs (8 x 30fps streams per producer NI)",
         &[
             "producer NIs",
+            "offered",
+            "admitted",
             "delivered",
-            "Mb/s",
+            "sustained streams",
             "bus util %",
             "DMA wait ms",
-            "sched-NI util %",
         ],
         &rows,
     );
     let _ = writeln!(
         out,
-        "the bus never becomes the bottleneck — the scheduler NI's CPU+wire"
+        "one scheduler card's CPU+wire budget saturates long before the bus: admission"
     );
     let _ = writeln!(
         out,
-        "budget saturates first, which is why peer-to-peer offload scales (§4.2.2)."
+        "caps the card and the bus stays lightly used; it takes ~12 scheduler cards to"
     );
+    let _ = writeln!(out, "saturate the bus (BENCH_cluster), hence §6's \"careful balance\".");
     out
 }
 
@@ -118,8 +124,9 @@ fn main() {
         print!("{section}");
     }
     if let Some(p) = trace_path() {
-        // The ablations price decisions analytically (no service core
-        // runs), so the document carries a labeled run with no events.
+        // Sections 1–2 price decisions analytically and section 3 runs its
+        // chassis untraced, so the document carries a labeled run with no
+        // events.
         write_trace(&p, &[("ablations", &TraceCapture::default())]);
     }
 }

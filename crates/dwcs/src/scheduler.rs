@@ -377,25 +377,29 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
     /// returned frame is considered transmitted immediately).
     pub fn schedule_next(&mut self, now: Time) -> SchedDecision {
         let mut decision = self.decide(now);
-        if let DispatchMode::Decoupled { queue_cap } = self.cfg.dispatch {
-            if let Some(frame) = decision.frame.take() {
-                if self.dispatch_q.len() < queue_cap {
-                    // analysis: allow(ni-no-alloc) reason="bounded by queue_cap just above; capacity reserved at construction"
-                    self.dispatch_q.push_back(frame);
-                } else {
-                    // Queue full: undo is impossible (window already
-                    // adjusted), so dispatch directly — the bound exists to
-                    // cap memory, not to drop scheduled frames.
-                    decision.frame = Some(frame);
-                    self.account_dispatch(frame, now);
-                }
-            }
-            return decision;
-        }
-        if let Some(f) = decision.frame {
-            self.account_dispatch(f, now);
-        }
+        self.route(&mut decision, now);
         decision
+    }
+
+    /// Route a fresh decision's frame through the dispatch mode. Coupled:
+    /// the frame is sent now. Decoupled: it joins the dispatch queue and
+    /// leaves `decision.frame`, unless the queue is full — undo is then
+    /// impossible (the window is already adjusted), so it is sent directly
+    /// and stays in `decision.frame`: the bound caps memory, it does not
+    /// drop scheduled frames.
+    fn route(&mut self, decision: &mut SchedDecision, now: Time) {
+        let Some(frame) = decision.frame else {
+            return;
+        };
+        if let DispatchMode::Decoupled { queue_cap } = self.cfg.dispatch {
+            if self.dispatch_q.len() < queue_cap {
+                // analysis: allow(ni-no-alloc) reason="bounded by queue_cap just above; capacity reserved at construction"
+                self.dispatch_q.push_back(frame);
+                decision.frame = None;
+                return;
+            }
+        }
+        self.account_dispatch(frame, now);
     }
 
     /// Decoupled mode: drain one frame from the dispatch queue.
@@ -575,27 +579,7 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
             summary.dropped += decision.dropped;
             summary.work.add(decision.work);
             let decided = decision.frame.is_some();
-            // Route exactly like `schedule_next`: couple, or queue with
-            // overflow-direct fallback (the overflow frame stays in
-            // `decision.frame`, as the single-pass path reports it).
-            match self.cfg.dispatch {
-                DispatchMode::Coupled => {
-                    if let Some(f) = decision.frame {
-                        self.account_dispatch(f, now);
-                    }
-                }
-                DispatchMode::Decoupled { queue_cap } => {
-                    if let Some(frame) = decision.frame.take() {
-                        if self.dispatch_q.len() < queue_cap {
-                            // analysis: allow(ni-no-alloc) reason="bounded by queue_cap just above; capacity reserved at construction"
-                            self.dispatch_q.push_back(frame);
-                        } else {
-                            decision.frame = Some(frame);
-                            self.account_dispatch(frame, now);
-                        }
-                    }
-                }
-            }
+            self.route(&mut decision, now);
             let backlog = self.total_backlog();
             sink.on_decision(&decision, backlog, now);
             let mut dispatched = 0u32;
@@ -699,18 +683,8 @@ impl<R: ScheduleRepr> DwcsScheduler<R> {
         self.decisions
     }
 
-    /// Drain descriptors of frames dropped since the last call — the real
-    /// engine reclaims their payload-pool slots ("single copy of frames in
-    /// NI memory"); experiment harnesses may simply clear them.
-    pub fn drain_dropped(&mut self, mut f: impl FnMut(FrameDesc)) {
-        for d in self.dropped_frames.drain(..) {
-            f(d);
-        }
-    }
-
     /// Move descriptors of frames dropped since the last drain into
-    /// `into` (appended in drop order). The allocation-free sibling of
-    /// [`DwcsScheduler::drain_dropped`]: both sides recycle their buffer
+    /// `into` (appended in drop order). Both sides recycle their buffer
     /// capacity, so a steady-state service pass never allocates
     /// ([`crate::svc::SchedService`] hoists `into` into the service
     /// struct).
@@ -1078,7 +1052,7 @@ mod tests {
     }
 
     #[test]
-    fn take_dropped_matches_drain_dropped() {
+    fn take_dropped_drains_the_staged_drops() {
         let mut s = sched();
         let sid = s.add_stream(StreamQos::new(MILLISECOND, 4, 4));
         for seq in 0..3 {

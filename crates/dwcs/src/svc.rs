@@ -16,8 +16,9 @@
 //!   frame-pool payload resolution, pluggable frame sinks;
 //! * the DVCM media-scheduler extension (`dvcm::media_sched`) — NI time,
 //!   an outbox the embedding drains onto the wire;
-//! * the simulation worlds (`serversim::{hostload,niload,ninode}`) —
-//!   simulated time, cost-model pricing per decision and per dispatch.
+//! * the simulation worlds (`serversim::{hostload,niload,ninode,chassis}`
+//!   and the Tables 1–3 harness `serversim::micro`) — simulated time,
+//!   cost-model pricing per decision and per dispatch.
 //!
 //! Like the rest of this crate the core is NI-resident code: no floating
 //! point, no panicking constructs, and fully deterministic given its

@@ -21,7 +21,6 @@
 
 use dwcs::admission;
 use dwcs::StreamQos;
-use hwsim::calib;
 use simkit::SimDuration;
 use std::fmt;
 
@@ -229,9 +228,6 @@ pub fn sweep_ni_split(slots: usize, base: &NodeConfig) -> Result<Vec<(usize, u32
         })
         .collect()
 }
-
-/// Host clock sanity constant re-exported for capacity math callers.
-pub const HOST_HZ: u64 = calib::HOST_HZ;
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,8 @@
 //! into the paper's experiments. One module per experiment family:
 //!
 //! * [`micro`] — the scheduler microbenchmarks of **Tables 1–3**: a
-//!   pre-loaded MPEG sequence scheduled on the modelled i960, sweeping
+//!   pre-loaded MPEG sequence served by the `dwcs` service core on a
+//!   platform that prices each pass on the modelled i960, sweeping
 //!   arithmetic build (software-FP vs fixed-point), data cache (off/on),
 //!   and descriptor store (pinned memory vs hardware-queue registers).
 //! * [`paths`] — the critical-path benchmarks of **Table 4** (frame
@@ -20,14 +21,14 @@
 //! * [`ninode`] — the integrated embedded NI: the DVCM service loop as a
 //!   *wind* task on the `vxkit` kernel, watchdog-paced, with interference
 //!   tasks quantifying the "few system tasks" argument.
-//! * [`pcibus_sim`] — shared-PCI contention: producer NIs DMA through a
-//!   FIFO-arbitrated bus (`simkit::Resource`) into one scheduler NI.
 //! * [`cluster`] — the multi-node topology of the paper's Figure 1, for
 //!   capacity exploration beyond the single-node evaluation.
 //! * [`chassis`] — the multi-NI chassis: N independent scheduler cards
 //!   behind one host sharing an arbitrated PCI bus, with DWCS-feasibility
 //!   placement, Path-B cross-card frame sourcing, and a deterministic
-//!   rebalancer that migrates streams off a fault-injected card.
+//!   rebalancer that migrates streams off a fault-injected card. A
+//!   one-card Path-B chassis is also the shared-PCI contention experiment
+//!   (producers DMA across the arbitrated bus into one scheduler NI).
 //! * [`report`] — windowed-rate collectors and table formatting shared by
 //!   the `repro_*` binaries.
 
@@ -41,5 +42,4 @@ pub mod micro;
 pub mod niload;
 pub mod ninode;
 pub mod paths;
-pub mod pcibus_sim;
 pub mod report;

@@ -12,16 +12,19 @@
 //!
 //! The harness segments a synthetic MPEG-1 file (the paper's 151-frame
 //! sequence length is the default), pre-loads the descriptors, then drives
-//! the real DWCS scheduler while charging each decision's cost to the
-//! [`hwsim::I960Core`] model — so the *algorithm execution* (window
-//! adjustments, heap operations, drop handling) is genuine, and only the
-//! per-operation timing is modelled.
+//! the real DWCS service core ([`dwcs::SchedService`]) on a platform that
+//! charges each decision's cost to the [`hwsim::I960Core`] model — so the
+//! *algorithm execution* (window adjustments, heap operations, drop
+//! handling) is genuine, and only the per-operation timing is modelled.
 
-use dwcs::{DualHeap, DwcsScheduler, FrameDesc, FrameKind, StreamQos};
+use dwcs::{
+    DispatchRecord, DualHeap, FrameDesc, FrameKind, Platform, SchedDecision, SchedService, SchedulerConfig, StreamQos,
+    Time,
+};
 use fixedpt::ops::MathMode;
 use hwsim::i960::{dwcs_work, DescriptorStore, I960Core};
 use mpeg1::{EncoderConfig, Segmenter, SyntheticEncoder};
-use nistream_trace::{TraceEvent, TraceRing};
+use nistream_trace::TraceRing;
 use simkit::SimDuration;
 
 /// One microbenchmark configuration cell.
@@ -100,111 +103,101 @@ pub fn run(cfg: &MicroConfig) -> MicroResult {
 }
 
 /// Run one microbenchmark cell with the scheduled pass narrated into an
-/// NI trace ring: one `Admit` per stream, then per service pass any
-/// `Drop`s, the `Decision`, and the `Dispatch` if a frame went out, all
-/// stamped with the pass's deadline-query time (the same pass-start
-/// convention the service core uses). The measurement itself is
-/// untouched — [`run`] and `run_traced` return identical numbers.
+/// NI trace ring by the service core: one `Admit` per stream, then per
+/// service pass any `Drop`s, the `Decision`, the `Dispatch` if a frame
+/// went out and the `QueueDepth`, all stamped with the pass's
+/// deadline-query time. The measurement itself is untouched — [`run`]
+/// and `run_traced` return identical numbers.
 pub fn run_traced(cfg: &MicroConfig, ring: &mut TraceRing) -> MicroResult {
     run_inner(cfg, Some(ring))
 }
 
-fn run_inner(cfg: &MicroConfig, mut trace: Option<&mut TraceRing>) -> MicroResult {
-    let mut core = I960Core::new()
-        .with_math(cfg.math)
-        .with_cache(cfg.cache)
-        .with_store(cfg.store);
+/// The Tables 1–3 placement: a settable clock at each pass's deadline
+/// query, the i960 cost model pricing every decision and dispatch into the
+/// scheduled total, and the descriptor ring's occupancy (which scales the
+/// decision's scan cost) counting down as frames leave it.
+struct MicroPlatform<'a> {
+    now: Time,
+    core: I960Core,
+    occupancy: u64,
+    total: SimDuration,
+    trace: Option<&'a mut TraceRing>,
+}
+
+impl Platform for MicroPlatform<'_> {
+    fn now(&mut self) -> Time {
+        self.now
+    }
+
+    fn set_now(&mut self, t: Time) {
+        self.now = t;
+    }
+
+    fn on_decision(&mut self, decision: &SchedDecision, _backlog: u64) {
+        let work = dwcs_work::Work {
+            compares: decision.work.compares,
+            touches: decision.work.touches,
+        };
+        self.total += self.core.decision_time(work, self.occupancy);
+    }
+
+    fn dispatch(&mut self, _rec: &DispatchRecord) {
+        self.total += self.core.dispatch_time();
+        self.occupancy = self.occupancy.saturating_sub(1);
+    }
+
+    fn reclaim(&mut self, _desc: &FrameDesc) {
+        self.occupancy = self.occupancy.saturating_sub(1);
+    }
+
+    fn tracer(&mut self) -> Option<&mut TraceRing> {
+        self.trace.as_deref_mut()
+    }
+}
+
+fn run_inner(cfg: &MicroConfig, trace: Option<&mut TraceRing>) -> MicroResult {
+    let frames = segmented_frames(cfg.frames);
+    let platform = MicroPlatform {
+        now: 0,
+        core: I960Core::new()
+            .with_math(cfg.math)
+            .with_cache(cfg.cache)
+            .with_store(cfg.store),
+        occupancy: frames.len() as u64,
+        total: SimDuration::ZERO,
+        trace,
+    };
 
     // Pre-load every descriptor (paper: scheduler starts after the ring is
     // full). One stream per cfg; a 30 fps deadline chain.
-    let mut sched: DwcsScheduler<DualHeap> = DwcsScheduler::new(DualHeap::new(cfg.streams));
+    let mut svc = SchedService::new(DualHeap::new(cfg.streams), SchedulerConfig::default(), platform);
     let period = 33_333_333u64 / cfg.streams as u64; // keep aggregate rate
     let sids: Vec<_> = (0..cfg.streams)
-        .map(|_| sched.add_stream(StreamQos::new(period, 2, 8)))
+        .map(|_| svc.open(StreamQos::new(period, 2, 8)))
         .collect();
-    if let Some(ring) = trace.as_deref_mut() {
-        for sid in &sids {
-            ring.push(TraceEvent::Admit {
-                at: 0,
-                stream: sid.0,
-                period,
-                loss_num: 2,
-                loss_den: 8,
-            });
-        }
-    }
-    let frames = segmented_frames(cfg.frames);
     for (i, &(kind, len, addr)) in frames.iter().enumerate() {
         let sid = sids[i % sids.len()];
         let desc = FrameDesc::new(sid, (i / sids.len()) as u64, len, kind).at_addr(addr);
-        sched.enqueue(sid, desc, 0);
+        svc.ingest_at(sid, desc, 0);
     }
 
-    // Scheduled pass: decide + dispatch per frame, charging the core model.
-    // Ring occupancy decays from `frames` to 0 as the paper's run drains.
-    let mut now = SimDuration::ZERO;
-    let mut occupancy = frames.len() as u64;
-    let mut sent = 0usize;
-    while sent < frames.len() {
-        // Run the scheduler far enough in its own virtual time that every
-        // pre-loaded deadline has passed is wrong — we want on-time
-        // service, so query at each head deadline like the firmware's
-        // paced loop.
-        let t = sched.next_eligible().expect("frames remain");
-        let d = sched.schedule_next(t);
-        if let Some(ring) = trace.as_deref_mut() {
-            sched.drain_dropped(|desc| {
-                ring.push(TraceEvent::Drop {
-                    at: t,
-                    stream: desc.stream.0,
-                    seq: desc.seq,
-                });
-            });
-            ring.push(TraceEvent::Decision {
-                at: t,
-                stream: d.frame.map(|f| f.desc.stream.0),
-                dropped: d.dropped,
-                backlog: sched.total_backlog(),
-                compares: d.work.compares,
-                touches: d.work.touches,
-            });
-            if let Some(f) = d.frame {
-                ring.push(TraceEvent::Dispatch {
-                    at: t,
-                    stream: f.desc.stream.0,
-                    seq: f.desc.seq,
-                    len: f.desc.len,
-                    deadline: f.deadline,
-                    on_time: f.on_time,
-                });
-            }
-        }
-        let work = dwcs_work::Work {
-            compares: d.work.compares,
-            touches: d.work.touches,
-        };
-        now += core.decision_time(work, occupancy);
-        if let Some(_f) = d.frame {
-            now += core.dispatch_time();
-            sent += 1;
-            occupancy -= 1;
-        } else {
-            // Paced idle or drops; drops shrink occupancy too.
-            occupancy = occupancy.saturating_sub(u64::from(d.dropped));
-            sent += d.dropped as usize;
-        }
+    // Scheduled pass: one service pass at each head deadline, like the
+    // firmware's paced loop, so every frame is served on time.
+    while let Some(t) = svc.next_eligible() {
+        svc.platform_mut().set_now(t);
+        svc.service_once();
     }
-    let total_sched_us = now.as_micros_f64();
+    let total_sched_us = svc.platform().total.as_micros_f64();
 
     // Transmit-only pass: address is "readily available"; only the
     // dispatch path runs.
-    let mut core2 = I960Core::new()
+    let mut core = I960Core::new()
         .with_math(cfg.math)
         .with_cache(cfg.cache)
         .with_store(cfg.store);
     let mut nosched = SimDuration::ZERO;
     for _ in &frames {
-        nosched += core2.dispatch_time();
+        nosched += core.dispatch_time();
         // The float build still converts rate counters per frame even in
         // the transmit loop (the paper's w/o-scheduler times differ by
         // build: 34.6 vs 30.35 µs) — one ratio bookkeeping op per frame.
@@ -212,7 +205,7 @@ fn run_inner(cfg: &MicroConfig, mut trace: Option<&mut TraceRing>) -> MicroResul
             MathMode::FixedPoint => hwsim::calib::FIXED_RATIO_CYCLES,
             MathMode::SoftFloat => hwsim::calib::SOFT_FP_RATIO_CYCLES / 2,
         };
-        nosched += core2.cycles_time(per_frame_ratio);
+        nosched += core.cycles_time(per_frame_ratio);
     }
     let total_nosched_us = nosched.as_micros_f64();
 
@@ -263,6 +256,7 @@ pub fn table3() -> MicroResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nistream_trace::TraceEvent;
 
     #[test]
     fn table1_shape_holds() {
@@ -340,6 +334,20 @@ mod tests {
             "{:.1}",
             fixed_on.overhead_us()
         );
+    }
+
+    /// The saved Tables 1–3 outputs, to the printed precision: total with
+    /// and without the scheduler per column.
+    #[test]
+    fn tables_1_to_3_reproduce_the_saved_values() {
+        let totals = |r: MicroResult| format!("{:.2} / {:.2}", r.total_sched_us, r.total_nosched_us);
+        let (float, fixed) = table1();
+        assert_eq!(totals(float), "19772.07 / 5079.34");
+        assert_eq!(totals(fixed), "16168.66 / 4621.81");
+        let (float, fixed) = table2();
+        assert_eq!(totals(float), "17076.91 / 4690.36");
+        assert_eq!(totals(fixed), "13473.50 / 4232.83");
+        assert_eq!(totals(table3()), "13665.68 / 4232.83");
     }
 
     #[test]
